@@ -13,6 +13,18 @@
 //! produced, so a client sees results the moment each θ finishes).
 //! Everything else — compression, TLS, `Expect: 100-continue` — is out
 //! of scope for an offline toolkit service and intentionally absent.
+//!
+//! Every response leaves in one write: [`respond`] renders head and body
+//! into one buffer, and each [`ChunkedWriter::chunk`] frames its size
+//! line, data and trailing CRLF into one buffer. The server also turns
+//! Nagle's algorithm off on every accepted socket (`TCP_NODELAY`). With
+//! a head and a body sent as two small segments, Nagle holds the second
+//! back until the client ACKs the first, and a client that delays its
+//! ACK (the common default) stalls every keep-alive response by about
+//! 40 ms. One write per response keeps a response in as few segments as
+//! its size allows; nodelay keeps the last, partly filled segment from
+//! waiting. Bytes on the wire are the same either way; only the
+//! segmentation differs.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -86,10 +98,14 @@ pub enum ReadOutcome {
 pub fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Request, ReadOutcome> {
     // Read until the blank line that ends the head, then top up the body.
     let mut buf = std::mem::take(carry);
+    // Bytes before `scanned` hold no head terminator; each search resumes
+    // three bytes early in case a `\r\n\r\n` straddles two reads.
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
+        if let Some(pos) = find_head_end(&buf[scanned..]) {
+            break scanned + pos;
         }
+        scanned = buf.len().saturating_sub(3);
         if buf.len() > MAX_HEAD {
             return Err(malformed("request head too large"));
         }
@@ -142,7 +158,8 @@ pub fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Reque
         return Err(malformed("request body too large"));
     }
 
-    let mut body = buf[head_end + 4..].to_vec();
+    let mut body = Vec::with_capacity(content_length);
+    body.extend_from_slice(&buf[head_end + 4..]);
     while body.len() < content_length {
         let mut chunk = [0u8; 8192];
         match stream.read(&mut chunk) {
@@ -220,7 +237,16 @@ fn connection_line(keep_alive: bool) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response and flushes it.
+/// Appends the `extra_headers` lines and the blank line ending a head.
+fn finish_head(head: &mut String, extra_headers: &[&str]) {
+    for line in extra_headers {
+        head.push_str(line);
+        head.push_str("\r\n");
+    }
+    head.push_str("\r\n");
+}
+
+/// Writes a complete fixed-length response in one write and flushes it.
 ///
 /// `extra_headers` lines are verbatim `Name: value` pairs (no CRLF).
 /// `keep_alive` picks the `Connection:` disposition; the caller closes
@@ -237,19 +263,15 @@ pub fn respond(
     extra_headers: &[&str],
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\n{}",
         body.len(),
         connection_line(keep_alive)
     );
-    for line in extra_headers {
-        head.push_str(line);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    finish_head(&mut response, extra_headers);
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -280,17 +302,13 @@ impl<'a> ChunkedWriter<'a> {
              Transfer-Encoding: chunked\r\n{}",
             connection_line(keep_alive)
         );
-        for line in extra_headers {
-            head.push_str(line);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
+        finish_head(&mut head, extra_headers);
         stream.write_all(head.as_bytes())?;
         stream.flush()?;
         Ok(Self { stream })
     }
 
-    /// Writes and flushes one chunk.
+    /// Writes and flushes one chunk, in one write.
     ///
     /// # Errors
     ///
@@ -300,7 +318,8 @@ impl<'a> ChunkedWriter<'a> {
         if data.is_empty() {
             return Ok(()); // an empty chunk would terminate the stream
         }
-        write!(self.stream, "{:x}\r\n{data}\r\n", data.len())?;
+        let frame = format!("{:x}\r\n{data}\r\n", data.len());
+        self.stream.write_all(frame.as_bytes())?;
         self.stream.flush()
     }
 
@@ -404,6 +423,83 @@ mod tests {
         assert_eq!((second.path.as_str(), second.body.as_str()), ("/b", "two"));
         assert!(carry.is_empty());
         writer.join().expect("writer thread");
+    }
+
+    #[test]
+    fn head_terminator_split_across_reads_is_found() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let writer = std::thread::spawn(move || {
+            let mut out = TcpStream::connect(addr).expect("connect");
+            out.write_all(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r")
+                .expect("write");
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            out.write_all(b"\n").expect("write");
+        });
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut carry = Vec::new();
+        let req = read_request(&mut stream, &mut carry).expect("parse");
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("GET", "/stats"));
+        assert_eq!(req.header("host"), Some("x"));
+        writer.join().expect("writer thread");
+    }
+
+    /// Runs `write` on the server end of a loopback connection, closes it
+    /// and returns every byte the client received.
+    fn wire_bytes(write: impl FnOnce(&mut TcpStream)) -> Vec<u8> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut server, _) = listener.accept().expect("accept");
+        write(&mut server);
+        drop(server);
+        let mut raw = Vec::new();
+        client.read_to_end(&mut raw).expect("read");
+        raw
+    }
+
+    #[test]
+    fn fixed_response_bytes_are_unchanged_by_coalescing() {
+        let raw = wire_bytes(|s| {
+            respond(s, 200, "OK", "{\"ok\":true}\n", &["X-Request-Id: 7"], true).expect("respond");
+        });
+        let expected = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                        Content-Length: 12\r\nConnection: keep-alive\r\n\
+                        X-Request-Id: 7\r\n\r\n{\"ok\":true}\n";
+        assert_eq!(String::from_utf8(raw).expect("UTF-8"), expected);
+    }
+
+    #[test]
+    fn chunked_response_bytes_are_unchanged_by_coalescing() {
+        let raw = wire_bytes(|s| {
+            let mut w =
+                ChunkedWriter::begin(s, 200, "OK", &["X-Request-Id: 9"], false).expect("begin");
+            for data in ["{\"a\":1}\n", "", "{\"b\":22}\n"] {
+                w.chunk(data).expect("chunk");
+            }
+            w.end().expect("end");
+        });
+        let text = String::from_utf8(raw).expect("UTF-8");
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                    Transfer-Encoding: chunked\r\nConnection: close\r\n\
+                    X-Request-Id: 9\r\n\r\n";
+        let body = "8\r\n{\"a\":1}\n\r\n9\r\n{\"b\":22}\n\r\n0\r\n\r\n";
+        assert_eq!(text, format!("{head}{body}"));
+
+        // De-framing the body gives back exactly the non-empty chunks.
+        let mut rest = &text[head.len()..];
+        let mut payload = String::new();
+        loop {
+            let (size, tail) = rest.split_once("\r\n").expect("size line");
+            let size = usize::from_str_radix(size, 16).expect("hex size");
+            if size == 0 {
+                assert_eq!(tail, "\r\n");
+                break;
+            }
+            payload.push_str(&tail[..size]);
+            assert_eq!(&tail[size..size + 2], "\r\n");
+            rest = &tail[size + 2..];
+        }
+        assert_eq!(payload, "{\"a\":1}\n{\"b\":22}\n");
     }
 
     #[test]

@@ -521,6 +521,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// shutdown, failed write).
 fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
     let _ = stream.set_read_timeout(Some(shared.idle_timeout));
+    // Responses go out as one write each; without nodelay, Nagle would
+    // still hold a response's last partial segment until the client's
+    // (delayed) ACK of the previous one (see the `http` module doc).
+    let _ = stream.set_nodelay(true);
     let mut carry = Vec::new();
     for served in 0..shared.keep_alive_requests {
         let request = match http::read_request(stream, &mut carry) {
@@ -1132,43 +1136,45 @@ fn execute_synthesize(shared: &Arc<Shared>, request: &SynthesizeRequest, job: &J
                 }
             };
             if let Some(solved) = solved {
-                deposit_artifact(
+                let body = deposit_artifact(
                     shared,
                     &app,
                     request.solver,
                     request.pruning,
                     request.search,
-                    &solved,
+                    solved,
                 );
-                reply_outcome_line(shared, job, &solved.body);
+                reply_outcome_line(shared, job, &body);
             }
         }
     }
 }
 
-/// Deposits a solved pair into the re-synthesis store under its address.
+/// Deposits a solved pair into the re-synthesis store under its address
+/// and returns the response body to reply with.
 fn deposit_artifact(
     shared: &Shared,
     app: &Arc<Application>,
     solver: SolverKind,
     pruning: Option<PruningLevel>,
     search: Option<SearchLevel>,
-    solved: &SolvedPair,
-) {
+    solved: SolvedPair,
+) -> String {
     shared.resynth_cache.insert(
-        solved.address.clone(),
+        solved.address,
         Arc::new(ResynthArtifact {
             app: Arc::clone(app),
-            params: solved.params.clone(),
+            params: solved.params,
             solver,
             pruning,
             search,
-            traffic: solved.traffic.clone(),
-            analysis: solved.analysis.clone(),
-            warm_it: solved.warm_it.clone(),
-            warm_ti: solved.warm_ti.clone(),
+            traffic: solved.traffic,
+            analysis: solved.analysis,
+            warm_it: solved.warm_it,
+            warm_ti: solved.warm_ti,
         }),
     );
+    solved.body
 }
 
 /// Rebuilds the artifact caches from the snapshot ring of journaled
@@ -1446,15 +1452,15 @@ fn execute_delta(shared: &Arc<Shared>, request: &DeltaRequest, job: &Job) {
             warm_ti: out_ti.binding,
         }
     };
-    deposit_artifact(
+    let body = deposit_artifact(
         shared,
         &app,
         stored.solver,
         stored.pruning,
         stored.search,
-        &solved,
+        solved,
     );
-    reply_outcome_line(shared, job, &solved.body);
+    reply_outcome_line(shared, job, &body);
 }
 
 fn reply_outcome_line(shared: &Arc<Shared>, job: &Job, line: &str) {

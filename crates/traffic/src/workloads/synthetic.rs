@@ -51,6 +51,10 @@ impl SyntheticParams {
 
 /// Builds the synthetic application from explicit parameters.
 ///
+/// The application is named after its core count, `Synthetic{2 ×
+/// processors}`: the paper's default is `Synthetic20`, and a 48-target
+/// [`scaled_soc`] is `Synthetic96`.
+///
 /// # Panics
 ///
 /// Panics if `duty` is not within `(0, 1)`.
@@ -60,7 +64,7 @@ pub fn with_params(params: &SyntheticParams, seed: u64) -> Application {
         params.duty > 0.0 && params.duty < 1.0,
         "duty cycle must be in (0, 1)"
     );
-    let mut spec = SocSpec::new("Synthetic20");
+    let mut spec = SocSpec::new(format!("Synthetic{}", 2 * params.processors));
     for c in 0..params.processors {
         spec.add_initiator(format!("Core{c}"));
     }
@@ -168,6 +172,7 @@ mod tests {
         assert_eq!(app.spec.num_cores(), 20);
         assert_eq!(app.spec.num_initiators(), 10);
         assert_eq!(app.spec.num_targets(), 10);
+        assert_eq!(app.name(), "Synthetic20");
     }
 
     #[test]
@@ -199,6 +204,7 @@ mod tests {
             let app = scaled_soc(targets, 7);
             assert_eq!(app.spec.num_targets(), targets);
             assert_eq!(app.spec.num_initiators(), targets);
+            assert_eq!(app.name(), format!("Synthetic{}", 2 * targets));
             assert!(!app.trace.is_empty());
         }
         // 96 targets span two bitset words — the multi-word stress case.

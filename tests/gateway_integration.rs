@@ -435,6 +435,53 @@ fn keep_alive_request_cap_closes_the_connection() {
     gateway.join();
 }
 
+/// A keep-alive response must not wait for the client's delayed ACK
+/// (about 40 ms on Linux): the server sends each response in one write
+/// on a `TCP_NODELAY` socket. Without both, the body of every response
+/// after the first few stalls behind the ACK of its head.
+#[test]
+fn keep_alive_round_trips_stay_under_the_delayed_ack_floor() {
+    let gateway = spawn_gateway(1, 4);
+    let mut stream = TcpStream::connect(gateway.addr()).expect("connect");
+    let mut round_trips: Vec<Duration> = (0..30)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            write_keepalive_request(&mut stream, "GET", "/stats", "");
+            let (status, _, _) = read_one_response(&mut stream);
+            assert_eq!(status, 200);
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median keep-alive round trip {median:?} (sorted: {round_trips:?})"
+    );
+
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// A body nested far deeper than any request shape is refused with 400
+/// by the JSON depth cap, instead of overflowing the connection
+/// thread's stack and taking the process down.
+#[test]
+fn deeply_nested_body_is_refused_and_the_gateway_survives() {
+    let gateway = spawn_gateway(1, 4);
+    let addr = gateway.addr();
+
+    let (status, body) = http_post(addr, "/synthesize", &"[".repeat(100_000), None);
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("nesting deeper than"), "body: {body}");
+
+    let (status, body) = http_get(addr, "/stats");
+    assert_eq!(status, 200, "the gateway must still answer: {body}");
+
+    gateway.shutdown();
+    gateway.join();
+}
+
 #[test]
 fn delta_requests_reuse_artifacts_and_match_from_scratch() {
     let gateway = spawn_gateway(2, 8);
