@@ -28,12 +28,22 @@ use std::fmt;
 pub enum FlowError {
     /// The exact solver ran out of node budget.
     SolverLimit(NodeLimitExceeded),
+    /// Phase 4 was asked to validate an analysis whose traffic a
+    /// [`stbus_traffic::WorkloadDelta`] has edited. Validation replays the
+    /// workload's offered trace, and the edited workload has none; collect
+    /// it again to validate it.
+    DeltaPatched,
 }
 
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FlowError::SolverLimit(e) => write!(f, "synthesis failed: {e}"),
+            FlowError::DeltaPatched => write!(
+                f,
+                "validation failed: a delta edited this workload's traffic, so it has no \
+                 offered trace to replay; collect the edited workload again"
+            ),
         }
     }
 }
@@ -42,6 +52,7 @@ impl Error for FlowError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             FlowError::SolverLimit(e) => Some(e),
+            FlowError::DeltaPatched => None,
         }
     }
 }
@@ -78,6 +89,17 @@ impl ConfigEval {
         params: &DesignParams,
     ) -> Self {
         let validation = validate(&app.trace, &it_config, &ti_config, params);
+        Self::from_validation(label, it_config, ti_config, validation)
+    }
+
+    /// Wraps a validation run that already exists — phase 1's
+    /// full-crossbar simulation serves the `full` baseline this way.
+    pub(crate) fn from_validation(
+        label: &str,
+        it_config: CrossbarConfig,
+        ti_config: CrossbarConfig,
+        validation: Validation,
+    ) -> Self {
         let avg_latency = validation.avg_latency();
         let max_latency = validation.max_latency();
         Self {
@@ -281,5 +303,10 @@ mod tests {
         let e = FlowError::SolverLimit(stbus_milp::NodeLimitExceeded { limit: 7 });
         assert!(e.to_string().contains("7-node"));
         assert!(e.source().is_some());
+        let patched = FlowError::DeltaPatched;
+        assert!(patched
+            .to_string()
+            .contains("collect the edited workload again"));
+        assert!(patched.source().is_none());
     }
 }

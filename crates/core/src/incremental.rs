@@ -49,8 +49,10 @@ pub struct TouchedTargets {
 /// The request trace is patched exactly per [`WorkloadDelta::apply`]; the
 /// response trace follows the ideal-response model documented at module
 /// level, with `response_scale` taken from the original collection. The
-/// simulation reports are carried over unchanged (they describe the base
-/// collection and are not consumed by phases 2–3).
+/// simulation reports are carried over unchanged: they describe the base
+/// collection, phases 2–3 do not read them, and a delta that touches
+/// traffic marks the result [`CollectedTraffic::delta_patched`] so phase 4
+/// refuses to validate it.
 ///
 /// # Errors
 ///
@@ -111,6 +113,7 @@ pub fn patch_traffic(
             ti_trace,
             it_report: base.it_report.clone(),
             ti_report: base.ti_report.clone(),
+            delta_patched: base.delta_patched || delta.touches_traffic(),
         },
         TouchedTargets { it, ti },
     ))
@@ -134,6 +137,7 @@ mod tests {
         assert_eq!(patched.it_trace, base.it_trace);
         assert_eq!(patched.ti_trace, base.ti_trace);
         assert!(touched.it.is_empty() && touched.ti.is_empty());
+        assert!(!patched.delta_patched, "no traffic edited");
     }
 
     #[test]
@@ -154,6 +158,7 @@ mod tests {
             ..WorkloadDelta::default()
         };
         let (patched, touched) = patch_traffic(&base, &delta, scale).unwrap();
+        assert!(patched.delta_patched);
         assert_eq!(touched.it, vec![3]);
         assert_eq!(
             patched.it_trace.events_for_target(TargetId::new(3)),

@@ -40,10 +40,18 @@ pub struct CollectedTraffic {
     /// *initiators of the analysis* are the original targets, and vice
     /// versa.
     pub ti_trace: Trace,
-    /// The full-crossbar request-path simulation (baseline reference).
+    /// The full-crossbar request-path simulation of the collected
+    /// workload. Phase 4 serves its `full` baseline from this report and
+    /// [`CollectedTraffic::ti_report`] instead of simulating the same
+    /// configuration on the same inputs again.
     pub it_report: SimReport,
     /// The full-crossbar response-path simulation.
     pub ti_report: SimReport,
+    /// Whether a [`stbus_traffic::WorkloadDelta`] has edited the traces
+    /// since collection. The reports above then still describe the
+    /// collected workload, and no offered trace of the edited one exists,
+    /// so phase 4 refuses to validate it.
+    pub delta_patched: bool,
 }
 
 /// Runs the application on full crossbars and collects both traces.
@@ -69,6 +77,7 @@ pub fn collect(app: &Application, params: &DesignParams) -> CollectedTraffic {
         ti_trace,
         it_report,
         ti_report,
+        delta_patched: false,
     }
 }
 

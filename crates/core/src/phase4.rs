@@ -11,6 +11,21 @@ use crate::params::DesignParams;
 use stbus_sim::{simulate_with, CrossbarConfig, SimReport};
 use stbus_traffic::{InitiatorId, SocSpec, Summary, TargetId, Trace};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Process-wide count of [`validate`] invocations, one per simulated
+/// (request, response) pair.
+static VALIDATE_RUNS: AtomicU64 = AtomicU64::new(0);
+
+/// Number of validation simulation pairs run in this process.
+///
+/// Like [`crate::phase1::collect_runs`], the counter is process-global:
+/// deltas are only meaningful when no other thread validates
+/// concurrently.
+#[must_use]
+pub fn validate_runs() -> u64 {
+    VALIDATE_RUNS.load(Ordering::Relaxed)
+}
 
 /// Outcome of checking declared QoS deadlines against a validation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,6 +181,7 @@ pub fn validate(
     ti_config: &CrossbarConfig,
     params: &DesignParams,
 ) -> Validation {
+    VALIDATE_RUNS.fetch_add(1, Ordering::Relaxed);
     let it_report = simulate_with(offered, it_config, &params.sim_options());
     let observed = it_report.observed_trace(offered.num_initiators(), offered.num_targets());
     let responses = observed.response_trace_scaled(params.response_scale);

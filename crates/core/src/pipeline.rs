@@ -64,11 +64,13 @@ use crate::params::Windowing;
 use crate::phase1::{collect, CollectedTraffic};
 use crate::phase2::Preprocessed;
 use crate::phase3::SynthesisOutcome;
+use crate::phase4::Validation;
 use crate::synthesizer::Synthesizer;
 use serde::{Deserialize, Serialize};
 use stbus_sim::{Arbitration, CrossbarConfig};
 use stbus_traffic::workloads::Application;
 use stbus_traffic::{DeltaError, OverlapProfile, Trace, WindowStats, WorkloadDelta};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The subset of [`DesignParams`] that phase-1 collection depends on.
 ///
@@ -192,7 +194,8 @@ impl<'a> Collected<'a> {
     /// [`Pipeline::collect`] on this `app` under parameters whose
     /// [`CollectionKey`] equals `CollectionKey::of(params)`; downstream
     /// stages then behave bit-identically to the original artifact.
-    /// Nothing is re-simulated.
+    /// Nothing is re-simulated. Delta-patched traffic keeps its
+    /// [`CollectedTraffic::delta_patched`] mark through the round trip.
     #[must_use]
     pub fn from_cached(
         app: &'a Application,
@@ -252,11 +255,12 @@ impl<'a> Collected<'a> {
              max_outstanding or response_scale differ from the collection \
              run); collect again for these parameters"
         );
+        let (pre_it, pre_ti) = analyze_directions(&self.traffic, params);
         Analyzed {
             collected: CollectedRef::Borrowed(self),
             params: params.clone(),
-            pre_it: Preprocessed::analyze(&self.traffic.it_trace, params),
-            pre_ti: Preprocessed::analyze(&self.traffic.ti_trace, params),
+            pre_it,
+            pre_ti,
         }
     }
 
@@ -279,8 +283,7 @@ impl<'a> Collected<'a> {
         );
         // Route through `Preprocessed::analyze` so the windowing policy is
         // interpreted in exactly one place.
-        let pre_it = Preprocessed::analyze(&self.traffic.it_trace, params);
-        let pre_ti = Preprocessed::analyze(&self.traffic.ti_trace, params);
+        let (pre_it, pre_ti) = analyze_directions(&self.traffic, params);
         AnalysisArtifact {
             collection: self.key,
             key: AnalysisKey::of(params),
@@ -335,10 +338,10 @@ impl<'a> Collected<'a> {
     /// The request trace is patched exactly per [`WorkloadDelta::apply`];
     /// the response trace follows the ideal-response model documented in
     /// [`crate::incremental`]. The artifact keeps the *base* application
-    /// reference and simulation reports: phases 2–3 never read them, but
-    /// phase-4 validation of a delta-patched design re-simulates the base
-    /// application, so deltas that add or edit traffic should treat
-    /// validation results as describing the base workload.
+    /// reference and simulation reports, which phases 2–3 never read. The
+    /// edited workload has no offered trace to replay, so once a delta
+    /// touches traffic, [`Synthesized::validate`] returns
+    /// [`FlowError::DeltaPatched`] for every design derived from it.
     ///
     /// # Errors
     ///
@@ -538,7 +541,10 @@ impl<'a> Analyzed<'a> {
     ///   O(touched × targets).
     ///
     /// Phase 1 is never re-run: the response direction follows the
-    /// ideal-response model documented in [`crate::incremental`].
+    /// ideal-response model documented in [`crate::incremental`]. For the
+    /// same reason a traffic delta leaves no offered trace to replay, and
+    /// [`Synthesized::validate`] answers [`FlowError::DeltaPatched`] for
+    /// designs derived from it; θ-only deltas validate as before.
     ///
     /// # Errors
     ///
@@ -585,10 +591,7 @@ impl<'a> Analyzed<'a> {
                 ),
             )
         } else {
-            (
-                Preprocessed::analyze(&collected.traffic.it_trace, &params),
-                Preprocessed::analyze(&collected.traffic.ti_trace, &params),
-            )
+            analyze_directions(&collected.traffic, &params)
         };
         Ok(Analyzed {
             collected: CollectedRef::Owned(Box::new(collected)),
@@ -674,6 +677,23 @@ fn repreprocess(
     }
 }
 
+/// Phase 2 from scratch for both crossbar directions. The two window
+/// analyses are independent, so they run side by side on the shared
+/// executor; each is a pure function of its trace, so the result is the
+/// same at every worker count.
+fn analyze_directions(
+    traffic: &CollectedTraffic,
+    params: &DesignParams,
+) -> (Preprocessed, Preprocessed) {
+    let traces = [&traffic.it_trace, &traffic.ti_trace];
+    let mut pre = exec::map(&traces, exec::parallelism(), |trace| {
+        Preprocessed::analyze(trace, params)
+    });
+    let pre_ti = pre.pop().expect("two directions");
+    let pre_it = pre.pop().expect("two directions");
+    (pre_it, pre_ti)
+}
+
 /// Phase-3 artifact: the synthesised crossbars for both directions.
 #[derive(Debug, Clone)]
 pub struct Synthesized<'a> {
@@ -703,74 +723,73 @@ impl Synthesized<'_> {
     /// # Errors
     ///
     /// [`FlowError::SolverLimit`] if a baseline's own design search (the
-    /// avg-flow and peak baselines solve MILPs too) exhausts its budget.
+    /// avg-flow and peak baselines solve MILPs too) exhausts its budget;
+    /// [`FlowError::DeltaPatched`] if a delta has edited the analysed
+    /// traffic, which leaves no offered trace to replay.
     pub fn validate(&self, baselines: &BaselineSet) -> Result<Evaluation, FlowError> {
-        let app = self.analyzed.collected.app();
-        let params = &self.analyzed.params;
-        let traffic = self.analyzed.collected.traffic();
-        let num_initiators = app.spec.num_initiators();
-        let num_targets = app.spec.num_targets();
+        self.validate_on(baselines, exec::parallelism())
+    }
 
-        // Stage the cheap, fallible part first: the avg-flow/peak/random
-        // baselines solve their own MILPs, which stay sequential so `?`
-        // error handling is unchanged. What remains per spec is the
-        // expensive cycle-accurate simulation pair; those run through
-        // the shared executor below.
-        let mut specs: Vec<(String, CrossbarConfig, CrossbarConfig)> = vec![(
-            "designed".to_string(),
-            self.it.config.clone(),
-            self.ti.config.clone(),
-        )];
+    /// [`Synthesized::validate`] with at most `width` comparison designs
+    /// in flight on the shared executor. The evaluation, and the error
+    /// when one occurs, is the same at every width.
+    fn validate_on(&self, baselines: &BaselineSet, width: usize) -> Result<Evaluation, FlowError> {
+        let app = self.analyzed.collected.app();
+        let traffic = self.analyzed.collected.traffic();
+        if traffic.delta_patched {
+            return Err(FlowError::DeltaPatched);
+        }
+
+        // One job per comparison design, in spec order: designed, full,
+        // shared, avg-flow, peak, random-k. A baseline that needs a
+        // binding search runs it and then simulates inside the same task,
+        // so the searches overlap the other designs' simulations. Jobs
+        // that search are submitted first to keep the workers evenly
+        // loaded; results go back into spec order, and the first error in
+        // spec order wins, so the outcome matches a sequential run.
+        let mut specs = vec![Baseline::Designed];
         if baselines.full {
-            specs.push((
-                "full".to_string(),
-                CrossbarConfig::full(num_targets).with_arbitration(params.arbitration),
-                CrossbarConfig::full(num_initiators).with_arbitration(params.arbitration),
-            ));
+            specs.push(Baseline::Full);
         }
         if baselines.shared {
-            specs.push((
-                "shared".to_string(),
-                CrossbarConfig::shared_bus(num_targets).with_arbitration(params.arbitration),
-                CrossbarConfig::shared_bus(num_initiators).with_arbitration(params.arbitration),
-            ));
+            specs.push(Baseline::Shared);
         }
         if baselines.avg_flow {
-            let avg_it = average_flow_design(&traffic.it_trace, params)?.config;
-            let avg_ti = average_flow_design(&traffic.ti_trace, params)?.config;
-            specs.push(("avg-based".to_string(), avg_it, avg_ti));
+            specs.push(Baseline::AvgFlow);
         }
         if baselines.peak {
-            let peak_it = peak_bandwidth_design(&traffic.it_trace, params)?.config;
-            let peak_ti = peak_bandwidth_design(&traffic.ti_trace, params)?.config;
-            specs.push(("peak-based".to_string(), peak_it, peak_ti));
+            specs.push(Baseline::Peak);
         }
-        for &seed in &baselines.random_seeds {
-            // A random permutation can be infeasible at the optimal size;
-            // such seeds are skipped rather than failing the evaluation.
-            let rnd_it =
-                random_binding_design(&self.analyzed.pre_it, self.it.num_buses, seed, params)?;
-            let rnd_ti =
-                random_binding_design(&self.analyzed.pre_ti, self.ti.num_buses, seed, params)?;
-            if let (Some(it), Some(ti)) = (rnd_it, rnd_ti) {
-                specs.push((format!("random-{seed}"), it.config, ti.config));
+        specs.extend(baselines.random_seeds.iter().map(|&s| Baseline::Random(s)));
+        let mut order: Vec<usize> = (0..specs.len()).collect();
+        order.sort_by_key(|&i| !specs[i].searches());
+        // Spec index of the first failed job so far. Once a job has
+        // failed, jobs after it in spec order and jobs that cannot fail no
+        // longer change the outcome, so they are skipped. The first
+        // failure in spec order is never skipped: no job before it fails.
+        let first_failure = AtomicUsize::new(usize::MAX);
+        let mut finished = exec::map(&order, width, |&i| {
+            let failed = first_failure.load(Ordering::Relaxed);
+            if failed < i || (failed != usize::MAX && !specs[i].searches()) {
+                return (i, Ok(None));
             }
-        }
-
-        // Phase-4 simulations are independent per spec, so they feed the
-        // process-wide worker set like every other parallel layer.
-        // `exec::map` preserves spec order, so the evaluation is
-        // bit-identical to the old sequential loop at any worker count.
-        let mut results = exec::map(&specs, exec::parallelism(), |(label, it, ti)| {
-            ConfigEval::new(label, it.clone(), ti.clone(), app, params)
+            let result = self.evaluate(specs[i], traffic);
+            if result.is_err() {
+                first_failure.fetch_min(i, Ordering::Relaxed);
+            }
+            (i, result)
         });
-        let designed = results.remove(0);
-        let evals = results;
+        finished.sort_by_key(|&(i, _)| i);
+        let mut evals = Vec::with_capacity(specs.len());
+        for (_, result) in finished {
+            evals.extend(result?);
+        }
+        let designed = evals.remove(0);
 
         Ok(Evaluation {
             app_name: app.name().to_string(),
-            num_initiators,
-            num_targets,
+            num_initiators: app.spec.num_initiators(),
+            num_targets: app.spec.num_targets(),
             it_synthesis: self.it.clone(),
             ti_synthesis: self.ti.clone(),
             designed,
@@ -778,12 +797,72 @@ impl Synthesized<'_> {
         })
     }
 
+    /// Builds and validates one comparison design. `Ok(None)` when a
+    /// random permutation found no feasible binding at the optimal size:
+    /// such seeds are skipped rather than failing the evaluation.
+    fn evaluate(
+        &self,
+        spec: Baseline,
+        traffic: &CollectedTraffic,
+    ) -> Result<Option<ConfigEval>, FlowError> {
+        let app = self.analyzed.collected.app();
+        let params = &self.analyzed.params;
+        let (ni, nt) = (app.spec.num_initiators(), app.spec.num_targets());
+        let simulate = |label: &str, it: CrossbarConfig, ti: CrossbarConfig| {
+            Ok(Some(ConfigEval::new(label, it, ti, app, params)))
+        };
+        match spec {
+            Baseline::Designed => {
+                simulate("designed", self.it.config.clone(), self.ti.config.clone())
+            }
+            // Phase 1 simulated exactly this: the offered trace on full
+            // crossbars under the same arbitration, depth and response
+            // scale (`Collected::analyze` enforces the `CollectionKey`).
+            Baseline::Full => Ok(Some(ConfigEval::from_validation(
+                "full",
+                CrossbarConfig::full(nt).with_arbitration(params.arbitration),
+                CrossbarConfig::full(ni).with_arbitration(params.arbitration),
+                Validation {
+                    it_report: traffic.it_report.clone(),
+                    ti_report: traffic.ti_report.clone(),
+                },
+            ))),
+            Baseline::Shared => simulate(
+                "shared",
+                CrossbarConfig::shared_bus(nt).with_arbitration(params.arbitration),
+                CrossbarConfig::shared_bus(ni).with_arbitration(params.arbitration),
+            ),
+            Baseline::AvgFlow => {
+                let it = average_flow_design(&traffic.it_trace, params)?.config;
+                let ti = average_flow_design(&traffic.ti_trace, params)?.config;
+                simulate("avg-based", it, ti)
+            }
+            Baseline::Peak => {
+                let it = peak_bandwidth_design(&traffic.it_trace, params)?.config;
+                let ti = peak_bandwidth_design(&traffic.ti_trace, params)?.config;
+                simulate("peak-based", it, ti)
+            }
+            Baseline::Random(seed) => {
+                let it =
+                    random_binding_design(&self.analyzed.pre_it, self.it.num_buses, seed, params)?;
+                let ti =
+                    random_binding_design(&self.analyzed.pre_ti, self.ti.num_buses, seed, params)?;
+                match (it, ti) {
+                    (Some(it), Some(ti)) => {
+                        simulate(&format!("random-{seed}"), it.config, ti.config)
+                    }
+                    _ => Ok(None),
+                }
+            }
+        }
+    }
+
     /// Validates against the paper's baseline set (full, shared,
     /// avg-flow) and packages the result as the classic [`DesignReport`].
     ///
     /// # Errors
     ///
-    /// [`FlowError::SolverLimit`] as for [`Synthesized::validate`].
+    /// As for [`Synthesized::validate`].
     pub fn report(&self) -> Result<DesignReport, FlowError> {
         let evaluation = self.validate(&BaselineSet::paper())?;
         Ok(evaluation
@@ -792,12 +871,37 @@ impl Synthesized<'_> {
     }
 }
 
+/// One comparison design of phase 4, in the order [`BaselineSet`] lists
+/// them.
+#[derive(Debug, Clone, Copy)]
+enum Baseline {
+    Designed,
+    Full,
+    Shared,
+    AvgFlow,
+    Peak,
+    Random(u64),
+}
+
+impl Baseline {
+    /// Whether the design comes out of a binding search, the only step of
+    /// phase 4 that can fail.
+    fn searches(self) -> bool {
+        matches!(
+            self,
+            Baseline::AvgFlow | Baseline::Peak | Baseline::Random(_)
+        )
+    }
+}
+
 /// Selector for the comparison designs phase 4 should evaluate.
 ///
-/// Every baseline costs a cycle-accurate simulation pair (and the
-/// avg-flow/peak baselines an extra MILP solve), so sweeps that only need
-/// the designed crossbar's latency use [`BaselineSet::none`] and pay for
-/// nothing else.
+/// The `full` baseline is free: phase 1 already simulated the full
+/// crossbars on the same inputs, and phase 4 reuses those reports. Every
+/// other baseline costs a cycle-accurate simulation pair (and the
+/// avg-flow/peak/random baselines a binding search first), so sweeps that
+/// only need the designed crossbar's latency use [`BaselineSet::none`] and
+/// pay for nothing else.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BaselineSet {
     /// Evaluate the full crossbar (latency reference).
@@ -1235,6 +1339,49 @@ mod tests {
         for b in &rich.baselines {
             assert!(["full", "shared", "avg-based", "peak-based", "random-3"]
                 .contains(&b.label.as_str()));
+        }
+    }
+
+    /// Phase 4 runs its jobs at the executor's width; every width gives
+    /// the same evaluation, and the same error when a baseline search
+    /// runs out of budget (at 5 nodes avg-flow and peak fail, at 20 only
+    /// the random baseline does).
+    #[test]
+    fn validation_is_the_same_at_every_width() {
+        let app = workloads::matrix::mat1(42);
+        let base = DesignParams::default().with_overlap_threshold(0.15);
+        let collected = Pipeline::collect(&app, &base);
+        for max_nodes in [5, 20, base.solve_limits.max_nodes] {
+            let mut params = base.clone();
+            params.solve_limits.max_nodes = max_nodes;
+            let analyzed = collected.analyze(&params);
+            let synthesized = analyzed
+                .synthesize(&Exact::with_limits(base.solve_limits.clone()))
+                .expect("in budget");
+            for baselines in [BaselineSet::all(), BaselineSet::all().with_random(3)] {
+                let one = synthesized.validate_on(&baselines, 1);
+                let two = synthesized.validate_on(&baselines, 2);
+                match (one, two) {
+                    (Ok(a), Ok(b)) => {
+                        let a: Vec<_> = std::iter::once(a.designed).chain(a.baselines).collect();
+                        let b: Vec<_> = std::iter::once(b.designed).chain(b.baselines).collect();
+                        assert_eq!(a.len(), b.len());
+                        for (x, y) in a.iter().zip(&b) {
+                            assert_eq!(x.label, y.label);
+                            assert_eq!(x.it_config, y.it_config);
+                            assert_eq!(x.validation.it_report, y.validation.it_report);
+                            assert_eq!(x.validation.ti_report, y.validation.ti_report);
+                            assert_eq!(x.avg_latency.to_bits(), y.avg_latency.to_bits());
+                        }
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a, b, "max_nodes {max_nodes}"),
+                    (a, b) => panic!(
+                        "widths disagree at max_nodes {max_nodes}: {:?} vs {:?}",
+                        a.err(),
+                        b.err()
+                    ),
+                }
+            }
         }
     }
 

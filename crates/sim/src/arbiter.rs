@@ -56,7 +56,8 @@ impl Arbiter {
 
     /// Picks the winning request among `candidates` (initiator indices of
     /// the ready requests) and records it. Returns `None` when no
-    /// candidates are offered.
+    /// candidates are offered. The winner depends only on the *set* of
+    /// candidates: their order and any repeats are irrelevant.
     ///
     /// # Panics
     ///
@@ -107,6 +108,26 @@ mod tests {
         assert_eq!(a.grant(&[2, 0, 3]), Some(0));
         assert_eq!(a.grant(&[2, 3]), Some(2));
         assert_eq!(a.grant(&[3]), Some(3));
+    }
+
+    #[test]
+    fn winner_ignores_candidate_order_and_repeats() {
+        for policy in [
+            Arbitration::FixedPriority,
+            Arbitration::RoundRobin,
+            Arbitration::LeastRecentlyUsed,
+        ] {
+            let mut sorted = Arbiter::new(policy, 5);
+            let mut shuffled = Arbiter::new(policy, 5);
+            for (set, jumbled) in [
+                (&[0, 2, 4][..], &[4, 2, 2, 0][..]),
+                (&[1, 2, 3], &[3, 1, 2, 3]),
+                (&[0, 1, 2, 3, 4], &[2, 4, 0, 3, 1, 0]),
+                (&[2, 4], &[4, 4, 2]),
+            ] {
+                assert_eq!(sorted.grant(set), shuffled.grant(jumbled), "{policy:?}");
+            }
+        }
     }
 
     #[test]

@@ -206,10 +206,14 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
         .map(|_| Arbiter::new(config.arbitration(), num_initiators))
         .collect();
 
-    // Event heap: Reverse((time, kind, id, extra));
+    // Event heap of packed (time, kind, id, extra) keys, see `pack`;
     // kind 0 = bus `id` became free (extra = event idx completing, owner in
     // `completing_owner`), kind 1 = initiator `id`'s event `extra` ready.
-    let mut heap: BinaryHeap<Reverse<(u64, u8, usize, usize)>> = BinaryHeap::new();
+    assert!(
+        num_initiators.max(num_buses) <= ID_MAX && trace.len() <= EXTRA_MAX,
+        "trace too large for the event key layout"
+    );
+    let mut heap: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
 
     // Arms the next event of initiator `i` if the issue window allows.
     // Returns the Ready entry to push, if any.
@@ -236,7 +240,7 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
 
     for i in 0..num_initiators {
         if let Some((ready, i, idx)) = arm(i, 0, &queues, &next_issue, &completed, &mut armed) {
-            heap.push(Reverse((ready, 1, i, idx)));
+            heap.push(Reverse(pack(ready, 1, i, idx)));
         }
     }
 
@@ -246,12 +250,18 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
     let mut bus_busy = vec![0u64; num_buses];
     let mut bus_grants = vec![0u64; num_buses];
     let mut horizon = 0u64;
+    // Scratch buffers reused across timestamps and grants instead of
+    // allocated afresh for each.
+    let mut touched_buses: Vec<usize> = Vec::with_capacity(num_buses);
+    let mut candidates: Vec<usize> = Vec::with_capacity(num_initiators);
 
-    while let Some(&Reverse((t, _, _, _))) = heap.peek() {
+    while let Some(&Reverse(top)) = heap.peek() {
+        let (t, _, _, _) = unpack(top);
         // Drain every event at time t before granting, so simultaneous
         // arrivals are arbitrated together.
-        let mut touched_buses: Vec<usize> = Vec::new();
-        while let Some(&Reverse((tt, kind, id, extra))) = heap.peek() {
+        touched_buses.clear();
+        while let Some(&Reverse(key)) = heap.peek() {
+            let (tt, kind, id, extra) = unpack(key);
             if tt != t {
                 break;
             }
@@ -266,7 +276,7 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
                         if let Some((ready, i, idx)) =
                             arm(owner, t, &queues, &next_issue, &completed, &mut armed)
                         {
-                            heap.push(Reverse((ready, 1, i, idx)));
+                            heap.push(Reverse(pack(ready, 1, i, idx)));
                         }
                     }
                     touched_buses.push(id);
@@ -281,7 +291,7 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
                     if let Some((ready, i, idx)) =
                         arm(id, t, &queues, &next_issue, &completed, &mut armed)
                     {
-                        heap.push(Reverse((ready, 1, i, idx)));
+                        heap.push(Reverse(pack(ready, 1, i, idx)));
                     }
                     touched_buses.push(bus);
                 }
@@ -289,17 +299,23 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
         }
         touched_buses.sort_unstable();
         touched_buses.dedup();
-        for k in touched_buses {
+        for &k in &touched_buses {
             // Grant while the bus is idle and work is pending (the grant
             // makes it busy, so at most one grant fires here).
             while busy_until[k] <= t && !pending[k].is_empty() {
-                let mut candidates: Vec<usize> = pending[k].iter().map(|&(i, _, _)| i).collect();
-                candidates.sort_unstable();
-                candidates.dedup();
+                // Every policy picks the minimum of a key that is distinct
+                // per initiator, so candidate order and duplicates (one
+                // initiator with several pending events) cannot change the
+                // winner; no sort or dedup needed.
+                candidates.clear();
+                candidates.extend(pending[k].iter().map(|&(i, _, _)| i));
                 let winner = arbiters[k]
                     .grant(&candidates)
                     .expect("non-empty candidate set");
-                // Serve the winner's oldest pending event on this bus.
+                // Serve the winner's oldest pending event on this bus. The
+                // choice depends only on the winner and the minimum event
+                // index, never on the order of `pending`, so removal may
+                // swap the last entry into the hole.
                 let pos = pending[k]
                     .iter()
                     .enumerate()
@@ -307,7 +323,7 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
                     .min_by_key(|(_, &(_, idx, _))| idx)
                     .map(|(p, _)| p)
                     .expect("winner pending");
-                let (_, event_idx, ready_time) = pending[k].remove(pos);
+                let (_, event_idx, ready_time) = pending[k].swap_remove(pos);
                 let e = queues[winner][event_idx];
                 // Frequency/data-width adapters stretch the bus occupancy
                 // of transactions to slow or narrow targets.
@@ -328,7 +344,7 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
                 busy_until[k] = complete;
                 completing_owner[k] = winner;
                 horizon = horizon.max(complete);
-                heap.push(Reverse((complete, 0, k, event_idx)));
+                heap.push(Reverse(pack(complete, 0, k, event_idx)));
             }
         }
     }
@@ -340,6 +356,30 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
         horizon,
         num_buses,
     }
+}
+
+/// Largest initiator or bus index an event key can carry (31 bits).
+const ID_MAX: usize = 0x7fff_ffff;
+/// Largest event index an event key can carry (32 bits).
+const EXTRA_MAX: usize = 0xffff_ffff;
+
+/// Packs an event into one integer whose order is the lexicographic order
+/// of `(time, kind, id, extra)`: time in the high 64 bits, then one bit of
+/// kind, 31 bits of id and 32 bits of extra. One integer compare per heap
+/// step instead of a four-field tuple compare.
+fn pack(time: u64, kind: u8, id: usize, extra: usize) -> u128 {
+    debug_assert!(kind <= 1 && id <= ID_MAX && extra <= EXTRA_MAX);
+    (u128::from(time) << 64) | (u128::from(kind) << 63) | ((id as u128) << 32) | extra as u128
+}
+
+/// Inverse of [`pack`].
+fn unpack(key: u128) -> (u64, u8, usize, usize) {
+    (
+        (key >> 64) as u64,
+        ((key >> 63) & 1) as u8,
+        ((key >> 32) as usize) & ID_MAX,
+        (key as usize) & EXTRA_MAX,
+    )
 }
 
 #[cfg(test)]

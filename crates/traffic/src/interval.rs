@@ -122,6 +122,19 @@ impl IntervalSet {
         if iv.is_empty() {
             return;
         }
+        // Fast path for inserts in start order (how traces are built):
+        // the interval lands after, or merges into, the last one only —
+        // every earlier interval ends before the last one starts.
+        if let Some(last) = self.intervals.last_mut() {
+            if iv.start > last.end {
+                self.intervals.push(iv);
+                return;
+            }
+            if iv.start >= last.start {
+                last.end = last.end.max(iv.end);
+                return;
+            }
+        }
         // Find insertion point and merge neighbours.
         let pos = self.intervals.partition_point(|x| x.end < iv.start);
         let mut merged = iv;
@@ -321,6 +334,19 @@ mod tests {
         #[test]
         fn insert_matches_bulk(raw in arb_intervals()) {
             let ivs: Vec<Interval> = raw.iter().map(|&(s, e)| Interval::new(s, e)).collect();
+            let bulk = IntervalSet::from_intervals(ivs.clone());
+            let mut inc = IntervalSet::new();
+            for iv in ivs {
+                inc.insert(iv);
+            }
+            prop_assert_eq!(bulk, inc);
+        }
+
+        /// The same in start order, the order traces insert in.
+        #[test]
+        fn sorted_insert_matches_bulk(raw in arb_intervals()) {
+            let mut ivs: Vec<Interval> = raw.iter().map(|&(s, e)| Interval::new(s, e)).collect();
+            ivs.sort_by_key(|iv| iv.start);
             let bulk = IntervalSet::from_intervals(ivs.clone());
             let mut inc = IntervalSet::new();
             for iv in ivs {

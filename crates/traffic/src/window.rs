@@ -19,6 +19,8 @@ use crate::ids::TargetId;
 use crate::interval::{Interval, IntervalSet};
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Symmetric matrix of aggregate pairwise overlaps `om(i,j)` (Eq. 1).
 ///
@@ -241,73 +243,73 @@ impl WindowStats {
         }
 
         // wo(i, j, m): per-window pairwise overlap via one sweep-line pass
-        // over the sorted busy-interval endpoints. Between two consecutive
-        // endpoints the active-target set is constant, so every active pair
-        // accrues exactly the elementary segment's length; the segment is
-        // cut at window boundaries so each piece lies in a single window.
-        // This replaces the former nested per-pair interval intersection
-        // (O(n² · intervals)) with work proportional to the endpoint count
-        // plus the pairwise overlap that actually exists.
+        // over the busy-interval endpoints in time order. Each target
+        // remembers when its current busy interval began; when it ends,
+        // its overlap with every target still busy is the span from the
+        // later of the two starts to now, settled into that pair's row
+        // once, clipped by the same `spread` as `comm`. Work is one heap
+        // step per endpoint plus one settlement per overlapping pair of
+        // intervals, rather than a charge to every busy pair at every
+        // endpoint.
         let npairs = n * n.saturating_sub(1) / 2;
         let mut wo = vec![0u64; npairs * num_windows];
         let mut overlap = OverlapMatrix::zeros(n);
         {
-            // Endpoint events: (time, target, is_start). Per-target busy
-            // sets are already disjoint and coalesced, so a target never
-            // ends and restarts at the same cycle.
-            let mut events: Vec<(u64, usize, bool)> =
-                Vec::with_capacity(busy.iter().map(|s| 2 * s.intervals().len()).sum());
-            for (t, set) in busy.iter().enumerate() {
-                for iv in set.intervals() {
-                    events.push((iv.start, t, true));
-                    events.push((iv.end, t, false));
-                }
-            }
-            events.sort_unstable();
-
-            let mut members: Vec<usize> = Vec::new(); // sorted active targets
-            let mut pieces: Vec<(usize, u64)> = Vec::new(); // (window, cycles)
-            let mut prev = 0u64;
-            let mut e = 0usize;
-            while e < events.len() {
-                let now = events[e].0;
-                if now > prev && members.len() >= 2 {
-                    // Window pieces of the segment [prev, now), mirroring
-                    // the `spread` clipping rules.
-                    pieces.clear();
-                    let seg = Interval::new(prev, now);
-                    let mut m = bounds.partition_point(|&b| b <= prev).saturating_sub(1);
-                    while m < num_windows && bounds[m] < now {
-                        let len = seg.clip(bounds[m], bounds[m + 1]).len();
-                        if len > 0 {
-                            pieces.push((m, len));
-                        }
-                        m += 1;
+            // Endpoints in time order, merged from the per-target busy
+            // sets: target `t`'s endpoint `k` is the start (even `k`) or
+            // end (odd `k`) of its interval `k / 2`. The sets are disjoint
+            // and coalesced, so a target never ends and restarts at the
+            // same cycle; the order of endpoints that share a time cannot
+            // change any settlement (an overlap that starts when the other
+            // interval ends is empty).
+            let endpoint = |t: usize, k: usize| {
+                busy[t].intervals().get(k / 2).map(|iv| {
+                    if k.is_multiple_of(2) {
+                        iv.start
+                    } else {
+                        iv.end
                     }
-                    let full = now - prev;
-                    for (a, &i) in members.iter().enumerate() {
-                        let base = i * n - i * (i + 1) / 2;
-                        for &j in &members[a + 1..] {
-                            let row = &mut wo[(base + (j - i - 1)) * num_windows..][..num_windows];
-                            for &(m, len) in &pieces {
-                                row[m] += len;
-                            }
-                            overlap.add(i, j, full);
-                        }
+                })
+            };
+            let mut cursor = vec![0usize; n];
+            let mut heads: BinaryHeap<Reverse<(u64, usize)>> = (0..n)
+                .filter_map(|t| endpoint(t, 0).map(|time| Reverse((time, t))))
+                .collect();
+            let mut members: Vec<usize> = Vec::new(); // busy targets, any order
+            let mut since = vec![0u64; n]; // start of each busy target's interval
+            while let Some(mut head) = heads.peek_mut() {
+                let Reverse((now, t)) = *head;
+                let k = cursor[t];
+                cursor[t] += 1;
+                match endpoint(t, k + 1) {
+                    Some(next) => *head = Reverse((next, t)),
+                    None => {
+                        PeekMut::pop(head);
                     }
                 }
-                while e < events.len() && events[e].0 == now {
-                    let (_, t, is_start) = events[e];
-                    match members.binary_search(&t) {
-                        Err(pos) if is_start => members.insert(pos, t),
-                        Ok(pos) if !is_start => {
-                            members.remove(pos);
-                        }
-                        _ => unreachable!("busy sets are disjoint per target"),
-                    }
-                    e += 1;
+                if k.is_multiple_of(2) {
+                    since[t] = now;
+                    members.push(t);
+                    continue;
                 }
-                prev = now;
+                let pos = members
+                    .iter()
+                    .position(|&u| u == t)
+                    .expect("an interval ends only after it starts");
+                members.swap_remove(pos);
+                for &u in &members {
+                    let from = since[t].max(since[u]);
+                    if from >= now {
+                        continue;
+                    }
+                    let (i, j) = if t < u { (t, u) } else { (u, t) };
+                    let base = i * n - i * (i + 1) / 2;
+                    spread(
+                        &Interval::new(from, now),
+                        &mut wo[(base + (j - i - 1)) * num_windows..][..num_windows],
+                    );
+                    overlap.add(i, j, now - from);
+                }
             }
         }
 
@@ -818,6 +820,60 @@ mod tests {
                         sum += wo;
                     }
                     prop_assert_eq!(sum, stats.overlap_matrix().get(i, j));
+                }
+            }
+        }
+
+        /// wo(i,j,m) and om(i,j) equal an independent computation: the
+        /// intersection of the two targets' busy sets, clipped to each
+        /// window — under uniform and variable window plans, on traces
+        /// dense enough that many targets are busy at once.
+        #[test]
+        fn pairwise_overlap_matches_busy_set_intersection(
+            events in prop::collection::vec(
+                (0usize..2, 0usize..8, 0u64..300, 1u32..80),
+                1..80,
+            ),
+            ws in 1u64..150,
+            sizes in prop::collection::vec(1u64..120, 1..12),
+        ) {
+            let mut tr = Trace::new(2, 8);
+            for (i, t, s, d) in events {
+                tr.push(ev(i, t, s, d));
+            }
+            tr.finish_sorting();
+            let mut bounds = vec![0u64];
+            for k in 0.. {
+                let last = *bounds.last().expect("non-empty");
+                if last >= tr.horizon() && bounds.len() >= 2 {
+                    break;
+                }
+                bounds.push(last + sizes[k % sizes.len()]);
+            }
+            let busy: Vec<IntervalSet> = (0..8)
+                .map(|t| {
+                    IntervalSet::from_intervals(
+                        tr.events_for_target(TargetId::new(t))
+                            .iter()
+                            .map(|e| Interval::new(e.start, e.end())),
+                    )
+                })
+                .collect();
+            for stats in [
+                WindowStats::analyze(&tr, ws),
+                WindowStats::analyze_with_bounds(&tr, bounds.clone()),
+            ] {
+                for i in 0..8 {
+                    for j in (i + 1)..8 {
+                        let both = busy[i].intersection(&busy[j]);
+                        prop_assert_eq!(stats.overlap_matrix().get(i, j), both.total_len());
+                        for m in 0..stats.num_windows() {
+                            let (lo, hi) = (stats.bounds()[m], stats.bounds()[m + 1]);
+                            let expected: u64 =
+                                both.intervals().iter().map(|iv| iv.clip(lo, hi).len()).sum();
+                            prop_assert_eq!(stats.window_overlap(i, j, m), expected);
+                        }
+                    }
                 }
             }
         }
